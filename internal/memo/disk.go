@@ -1,10 +1,10 @@
 package memo
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"os"
 	"path/filepath"
 
@@ -12,18 +12,18 @@ import (
 	"repro/internal/logic"
 )
 
-// The persistent layer stores one JSON record per solved problem, named by
-// the hex of its key hash. Cubes are serialized as their raw positional
-// bit masks (logic.Cube.Raw), so a loaded Result is bit-identical to the
-// computed one. Records are strictly validated on load — wrong salt,
-// malformed JSON, out-of-range masks, arity mismatches — and any defect
-// demotes the lookup to a miss; the disk cache can cost a recompute but
-// never an incorrect result.
+// Two formats live here. The persistent layer stores one file per cached
+// value, named by the hex of its key hash and holding the salted blob
+// envelope (blobRec) around the value's codec payload, written
+// temp-then-rename. The disk files, the remote tier's wire payloads and
+// Export all use that envelope, and every consumer re-validates it.
 //
-// The same record format is the wire format of the Remote tier (see
-// remote.go): encodeRecord/decodeRecord below are shared by the disk
-// layer, the peer-to-peer cache-fill protocol and Cache.Export, so every
-// consumer applies the same strict validation.
+// Inside the envelope, hfmin outcomes use the record format below.
+// Cubes are serialized as their raw positional bit masks (logic.Cube.Raw),
+// so a loaded Result is bit-identical to the computed one. Records are
+// strictly validated on load — wrong salt, malformed JSON, out-of-range
+// masks, arity mismatches — and any defect demotes the lookup to a miss;
+// the cache can cost a recompute but never an incorrect result.
 
 type cubeRec struct {
 	Z uint64 `json:"z"`
@@ -57,17 +57,14 @@ type infeasibleErr struct{ msg string }
 func (e *infeasibleErr) Error() string { return e.msg }
 func (e *infeasibleErr) Unwrap() error { return hfmin.ErrInfeasible }
 
-func (c *Cache) path(key [sha256.Size]byte) string {
-	return filepath.Join(c.dir, hex.EncodeToString(key[:])+".json")
-}
+// recordCodec is the BlobCodec of Cache's outcome values. Only clean
+// results and infeasibility verdicts encode; Cache never stores anything
+// else.
+type recordCodec struct{}
 
-// encodeRecord serializes a solved problem into the shared record format.
-// Only clean results and infeasibility verdicts encode — other errors
-// indicate malformed specs and are not worth a record (ok is false).
-func encodeRecord(res hfmin.Result, err error) (data []byte, ok bool) {
-	if err != nil && !errors.Is(err, hfmin.ErrInfeasible) {
-		return nil, false
-	}
+func (recordCodec) Encode(v any) ([]byte, bool) {
+	o := v.(outcome)
+	res := o.res
 	// Analyze populates the care sets before minimize can fail, so the
 	// arity lives on OnSet even when Cover was never built (infeasible
 	// outcomes carry the zero Cover, which decodeResult reproduces).
@@ -84,78 +81,84 @@ func encodeRecord(res hfmin.Result, err error) (data []byte, ok bool) {
 	for _, pv := range res.Privileged {
 		rec.Privileged = append(rec.Privileged, privRec{Trans: encCube(pv.Trans), Need: encCube(pv.Need)})
 	}
-	if err != nil {
+	if o.err != nil {
 		rec.Infeasible = true
-		rec.Err = err.Error()
+		rec.Err = o.err.Error()
 	}
-	data, merr := json.Marshal(rec)
-	if merr != nil {
-		return nil, false
-	}
-	return data, true
+	data, err := json.Marshal(rec)
+	return data, err == nil
 }
 
-// decodeRecord strictly validates and decodes a record in the shared
-// format. ok is false on any defect — malformed JSON, a foreign salt,
-// out-of-range masks — never an error result: a bad record is a miss.
-func decodeRecord(data []byte) (res hfmin.Result, resErr error, ok bool) {
+// Decode strictly validates a record; ok is false on any defect —
+// malformed JSON, a foreign salt, out-of-range masks — never an error
+// result: a bad record is a miss.
+func (recordCodec) Decode(data []byte) (any, bool) {
 	var rec fileRec
 	if json.Unmarshal(data, &rec) != nil || rec.Salt != Salt {
-		return hfmin.Result{}, nil, false
+		return nil, false
 	}
-	res, derr := decodeResult(rec)
-	if derr != nil {
-		return hfmin.Result{}, nil, false
-	}
-	if rec.Infeasible {
-		return res, &infeasibleErr{msg: rec.Err}, true
-	}
-	return res, nil, true
-}
-
-// storeDisk persists a solved problem; failures are ignored (the cache is
-// an accelerator, not a store of record).
-func (c *Cache) storeDisk(key [sha256.Size]byte, res hfmin.Result, err error) {
-	if c.dir == "" {
-		return
-	}
-	data, ok := encodeRecord(res, err)
-	if !ok {
-		return
-	}
-	// Write-then-rename keeps concurrent runs sharing a directory from
-	// observing torn records.
-	tmp, terr := os.CreateTemp(c.dir, "memo-*")
-	if terr != nil {
-		return
-	}
-	if _, werr := tmp.Write(data); werr != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if cerr := tmp.Close(); cerr != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if rerr := os.Rename(tmp.Name(), c.path(key)); rerr != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	c.cap.wrote(len(data))
-}
-
-// loadDisk retrieves a persisted record; ok is false on any miss, staleness
-// or corruption.
-func (c *Cache) loadDisk(key [sha256.Size]byte) (hfmin.Result, error, bool) {
-	if c.dir == "" {
-		return hfmin.Result{}, nil, false
-	}
-	data, err := os.ReadFile(c.path(key))
+	res, err := decodeResult(rec)
 	if err != nil {
-		return hfmin.Result{}, nil, false
+		return nil, false
 	}
-	return decodeRecord(data)
+	o := outcome{res: res}
+	if rec.Infeasible {
+		o.err = &infeasibleErr{msg: rec.Err}
+	}
+	return o, true
+}
+
+func (s *Store) blobPath(key [sha256.Size]byte) string {
+	return filepath.Join(s.dir, hex.EncodeToString(key[:])+".json")
+}
+
+// decodeBlob validates the envelope (salt, well-formed JSON, no trailing
+// data) and hands the payload to the codec; any defect is a miss.
+func decodeBlob(data []byte, codec BlobCodec) (any, bool) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var rec blobRec
+	if dec.Decode(&rec) != nil || dec.More() || rec.Salt != StoreSalt {
+		return nil, false
+	}
+	return codec.Decode(rec.Data)
+}
+
+// loadDisk retrieves a persisted value; ok is false on any miss,
+// staleness or corruption.
+func (s *Store) loadDisk(key [sha256.Size]byte, codec BlobCodec) (any, []byte, bool) {
+	if s.dir == "" {
+		return nil, nil, false
+	}
+	data, err := os.ReadFile(s.blobPath(key))
+	if err != nil {
+		return nil, nil, false
+	}
+	v, ok := decodeBlob(data, codec)
+	if !ok {
+		return nil, nil, false
+	}
+	return v, data, true
+}
+
+// writeDisk persists an encoded envelope; failures are ignored (the cache
+// is an accelerator, not a store of record). Write-then-rename keeps
+// concurrent runs sharing a directory from observing torn files.
+func (s *Store) writeDisk(key [sha256.Size]byte, data []byte) {
+	if s.dir == "" {
+		return
+	}
+	tmp, err := os.CreateTemp(s.dir, s.prefix+"-*")
+	if err != nil {
+		return
+	}
+	_, werr := tmp.Write(data)
+	cerr := tmp.Close()
+	if werr != nil || cerr != nil || os.Rename(tmp.Name(), s.blobPath(key)) != nil {
+		os.Remove(tmp.Name())
+		return
+	}
+	s.cap.wrote(len(data))
 }
 
 func decodeResult(rec fileRec) (hfmin.Result, error) {

@@ -10,9 +10,9 @@ import (
 	"repro/internal/obs"
 )
 
-// The disk layers (Cache's hfmin records, Store's stage blobs) grow
-// without bound across long daemon runs: every new design adds records
-// and nothing removes them. dirCap bounds one cache directory to a byte
+// A store's disk layer (hfmin records, stage blobs) grows without bound
+// across long daemon runs: every new design adds files and nothing
+// removes them. dirCap bounds one cache directory to a byte
 // budget with oldest-entry eviction — entries are content-addressed and
 // regenerable, so deleting the least-recently-written files can only
 // cost a recompute, never correctness.
@@ -109,14 +109,6 @@ func (d *dirCap) sweep() {
 	if evicted > 0 {
 		obs.Add("memo/evictions", evicted)
 	}
-}
-
-// SetMaxBytes caps the cache's disk directory at n bytes with
-// oldest-entry eviction (0 or negative disables the cap, the default).
-// Like SetRemote it is not synchronized with in-flight lookups: set the
-// cap at startup, before sharing the cache.
-func (c *Cache) SetMaxBytes(n int64) {
-	c.cap = newDirCap(c.dir, n)
 }
 
 // SetMaxBytes caps the store's disk directory at n bytes with

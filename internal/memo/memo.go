@@ -1,63 +1,71 @@
-// Package memo is a content-addressed, concurrency-safe memoization layer
-// for hazard-free two-level minimization (internal/hfmin) — the stage PR 2's
-// instrumentation showed consuming 94–99% of pipeline wall time. The
-// synthesis flow re-solves the same minimization problems over and over:
-// the encoding ladder in internal/synth retries every function per attempt,
-// and the design-space exploration sweep re-synthesizes controllers whose
-// AFSMs are untouched by the ablated transform. This package turns those
-// repeats into cache hits.
+// Package memo is the content-addressed, concurrency-safe cache of the
+// synthesis flow. It serves two key spaces through one implementation,
+// Store:
 //
-// # Keys
+//   - hfmin outcomes (Cache): hazard-free two-level minimization is the
+//     stage the pipeline's tracing shows consuming nearly all of its wall
+//     time, and the flow re-solves the same problems over and over — the
+//     encoding ladder in internal/synth retries every function per
+//     attempt, and exploration and search re-synthesize controllers whose
+//     AFSMs an ablated transform never touched.
+//   - stage payloads (a Store behind internal/stage's engine): transformed
+//     graphs, locally optimized controllers and synthesized logic blocks,
+//     which make incremental re-runs after an edit cheap.
 //
-// A problem is identified by the SHA-256 hash of the canonical form of its
-// hfmin.Spec (transitions sorted by the total order on (kind, start, end)
-// cube keys — see hfmin.Spec.Canonical) together with the covering backend
-// (logic.Solver), logic.SolverVersion and a package-version salt. Logically
-// identical specs collide regardless of construction order; bumping Salt or
-// logic.SolverVersion when minimizer or solver behaviour changes
-// invalidates every previously persisted entry rather than silently
-// replaying stale covers. The backend is part of the key because inexact
-// outcomes (budget-limited searches) may legitimately differ per backend.
+// # Lookup protocol
 //
-// # In-memory cache and deduplication
+// Every lookup, in either key space, walks one chain: memory → disk →
+// remote → compute.
 //
-// The in-memory cache is a sharded map. Lookups for a key being computed by
-// another goroutine block on that computation (singleflight semantics)
-// instead of duplicating it, so the concurrent workers of
-// par.NamedMap("hfmin", ...) solving the same spec pay it once. Cached
-// results are shared by value with their slices aliased — callers must
-// treat a returned Result as immutable, which the synthesis pipeline does.
+//   - Memory. A sharded map keyed by a SHA-256 content hash. A lookup for
+//     a key another goroutine is computing blocks on that computation
+//     (singleflight) instead of duplicating it, so the concurrent workers
+//     of par.NamedMap("hfmin", ...) solving the same spec pay it once.
+//     Cached values are shared by reference; callers treat them as
+//     immutable, which the synthesis pipeline does.
+//   - Disk. With a cache directory (the CLIs' -cache-dir), each cached
+//     value is one file named by its key hash: a salted envelope around
+//     the value's codec payload, written temp-then-rename, strictly
+//     validated on load. A corrupt, stale or foreign file is a miss, so a
+//     damaged cache can at worst stop saving time. SetMaxBytes bounds the
+//     directory with oldest-first eviction.
+//   - Remote. SetRemote attaches a fleet-shared tier (the Remote
+//     interface), bounded by a timeout so a slow or dead remote degrades
+//     to local compute; payloads are validated exactly like disk files,
+//     so a corrupt or byzantine peer costs at most a recompute. Fresh
+//     values are offered back, and Export serves the local side of the
+//     fleet's GET /v1/cache/{key} fill protocol.
+//   - Compute. Only a successful computation is cached. One that fails,
+//     is cancelled or panics vacates its key; waiters retry, so a
+//     cancelled job never poisons the key for its neighbours.
 //
-// # Disk persistence
+// # hfmin keys and outcomes
 //
-// With a cache directory configured (the CLI's -cache-dir flag), every
-// solved problem is written as one JSON record named by its key hash, and
-// misses consult the directory before computing. Records from other salts,
-// corrupt files and any read/decode error are silently treated as misses,
-// so a stale or damaged cache can never change results — at worst it stops
-// saving time. Infeasible outcomes (hfmin.ErrInfeasible) are cached and
-// persisted too: the strict rungs of the encoding ladder rediscover them
-// constantly.
+// Key hashes the canonical form of an hfmin.Spec (transitions sorted by
+// the total order on (kind, start, end) cube keys — see
+// hfmin.Spec.Canonical) together with the covering backend
+// (logic.Solver), logic.SolverVersion and the package Salt. Logically
+// identical specs collide regardless of construction order; bumping Salt
+// or logic.SolverVersion when minimizer or solver behaviour changes
+// invalidates every persisted record rather than replaying stale covers.
+// The backend is part of the key because inexact outcomes
+// (budget-limited searches) may legitimately differ per backend.
 //
-// # Remote tier
-//
-// SetRemote attaches a pluggable fleet-shared tier (the Remote interface)
-// behind memory and disk: a lookup that misses both consults the remote —
-// bounded by a timeout so a slow or dead remote degrades to local compute —
-// and freshly-solved results are offered back. Payloads use the same
-// strictly-validated record format as the disk layer, so a corrupt or
-// byzantine remote costs at most a recompute. asyncsynthd wires
-// fleet.CacheClient here, making every node's hfmin solve warm the whole
-// fleet.
+// Infeasibility verdicts (hfmin.ErrInfeasible) are cached values like
+// results — the strict rungs of the encoding ladder rediscover them
+// constantly — and survive disk and remote round trips with their
+// message and errors.Is identity. Any other minimizer error is not
+// cached.
 //
 // # Observability
 //
-// Each lookup outcome is published to the global obs registry — memo/hits,
-// memo/misses, memo/dedup-waits, memo/disk-hits and the memo/remote/*
-// family (hits, misses, errors, corrupt, stores) — and mirrored in
-// Stats() for programmatic use. Because hfmin.Analyze canonicalizes
-// internally, a cache hit is bit-identical to what the miss path would have
-// computed; the memoized and unmemoized pipelines are asserted equal by
+// Each lookup outcome is published to the global obs registry under the
+// store's namespace — memo/* for the hfmin Cache, blob/* for stage
+// stores: hits, misses, dedup-waits, disk-hits and the remote/* family
+// (hits, misses, errors, corrupt, stores) — and mirrored in Stats() for
+// programmatic use. Because hfmin.Analyze canonicalizes internally, a
+// cache hit is bit-identical to what the miss path would have computed;
+// the memoized and unmemoized pipelines are asserted equal by
 // TestMemoEquivalence at the repo root.
 package memo
 
@@ -66,74 +74,34 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"os"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/hfmin"
 	"repro/internal/logic"
-	"repro/internal/obs"
 )
 
-// Salt versions the cache key space. Bump it whenever hfmin's observable
-// behaviour changes (covers, tie-breaks, cost weights, ...), so persisted
-// entries from older minimizers are ignored rather than replayed. The
-// covering solvers version themselves through logic.SolverVersion, which
-// Key folds in alongside this salt.
-const Salt = "memo-v1/hfmin-v1"
+// Salt versions the hfmin key space and record format. Bump it whenever
+// hfmin's observable behaviour changes (covers, tie-breaks, cost
+// weights, ...) or the record layout does, so persisted entries from
+// older minimizers are ignored rather than replayed. The covering
+// solvers version themselves through logic.SolverVersion, which Key
+// folds in alongside this salt.
+const Salt = "memo-v2/hfmin-v1"
 
-// numShards bounds lock contention between concurrent hfmin workers; keys
-// are SHA-256 hashes, so the first byte shards uniformly.
-const numShards = 16
-
-// Stats is a snapshot of the cache's lookup counters.
-type Stats struct {
-	Hits          int64 // served from the in-memory map
-	Misses        int64 // computed (not found in memory, on disk or remotely)
-	DedupWaits    int64 // blocked on another goroutine computing the same key
-	DiskHits      int64 // loaded from the persistent cache directory
-	RemoteHits    int64 // filled from the remote tier
-	RemoteErrors  int64 // remote fetches that failed or timed out
-	RemoteCorrupt int64 // remote payloads rejected by validation
-}
-
-// Cache memoizes hfmin.Minimize and hfmin.MinimizeHeuristic. The zero value
-// is not usable; call New. A nil *Cache is a valid pass-through that
-// memoizes nothing.
+// Cache memoizes hfmin.Minimize and hfmin.MinimizeHeuristic: a Store of
+// hfmin outcomes plus the covering backend its exact minimizations use.
+// The zero value is not usable; call New. A nil *Cache is a valid
+// pass-through that memoizes nothing.
 type Cache struct {
-	dir           string       // persistent cache directory; empty = in-memory only
-	solver        logic.Solver // covering backend for exact minimizations
-	remote        Remote       // fleet-shared tier; nil = disabled
-	remoteTimeout time.Duration
-	cap           *dirCap // disk byte budget; nil = unbounded
-	shards        [numShards]shard
-
-	hits          atomic.Int64
-	misses        atomic.Int64
-	dedupWaits    atomic.Int64
-	diskHits      atomic.Int64
-	remoteHits    atomic.Int64
-	remoteErrors  atomic.Int64
-	remoteCorrupt atomic.Int64
+	store  *Store
+	solver logic.Solver
 }
 
-type shard struct {
-	mu sync.Mutex
-	m  map[[sha256.Size]byte]*entry
-}
-
-// entry is one memoized computation. done is closed when res/err are
-// final; waiters block on it (singleflight). aborted marks an entry whose
-// computation was cancelled (context error) or panicked before a result
-// existed: the entry has been removed from the map and waiters retry or
-// solve themselves rather than inheriting the aborted job's error.
-type entry struct {
-	done    chan struct{}
-	res     hfmin.Result
-	err     error
-	aborted bool
+// outcome is the cached value of one minimization: a result, or an
+// infeasibility verdict (err wraps hfmin.ErrInfeasible).
+type outcome struct {
+	res hfmin.Result
+	err error
 }
 
 // New returns a cache. A non-empty dir enables the persistent layer (the
@@ -149,16 +117,11 @@ func New(dir string) (*Cache, error) {
 // different backends are never shared (exact results would be identical,
 // but budget-limited inexact ones may not be).
 func NewSolver(dir string, solver logic.Solver) (*Cache, error) {
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("memo: cache dir: %w", err)
-		}
+	s, err := newStore(dir, "memo")
+	if err != nil {
+		return nil, err
 	}
-	c := &Cache{dir: dir, solver: solver}
-	for i := range c.shards {
-		c.shards[i].m = map[[sha256.Size]byte]*entry{}
-	}
-	return c, nil
+	return &Cache{store: s, solver: solver}, nil
 }
 
 // Solver returns the covering backend the cache was constructed with.
@@ -177,15 +140,27 @@ func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	return Stats{
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		DedupWaits:    c.dedupWaits.Load(),
-		DiskHits:      c.diskHits.Load(),
-		RemoteHits:    c.remoteHits.Load(),
-		RemoteErrors:  c.remoteErrors.Load(),
-		RemoteCorrupt: c.remoteCorrupt.Load(),
+	return c.store.Stats()
+}
+
+// SetRemote attaches a remote tier (see Store.SetRemote). Attach it
+// before sharing the cache, as the daemon does at startup.
+func (c *Cache) SetRemote(r Remote, timeout time.Duration) {
+	c.store.SetRemote(r, timeout)
+}
+
+// SetMaxBytes caps the cache's disk directory (see Store.SetMaxBytes).
+func (c *Cache) SetMaxBytes(n int64) {
+	c.store.SetMaxBytes(n)
+}
+
+// Export serializes the entry for the hex-encoded key (see Store.Export).
+// Infeasibility verdicts export like results.
+func (c *Cache) Export(hexKey string) ([]byte, bool) {
+	if c == nil {
+		return nil, false
 	}
+	return c.store.Export(hexKey)
 }
 
 // Minimize is hfmin.Minimize behind the cache. It satisfies
@@ -250,92 +225,20 @@ func Key(spec hfmin.Spec, solver logic.Solver) [sha256.Size]byte {
 	return key
 }
 
-// get implements the lookup protocol: in-memory hit, singleflight wait,
-// disk hit, or compute-and-fill. Computations that end in a context error
-// (or panic) vacate their entry instead of filling it, so a cancelled job
-// never poisons the key for other jobs; waiters on a vacated entry retry
-// the lookup from scratch.
+// get runs one minimization through the store. Results and
+// infeasibility verdicts are cached as outcome values; any other error
+// (cancellation, a malformed spec) vacates the key instead.
 func (c *Cache) get(ctx context.Context, spec hfmin.Spec, solver logic.Solver, solve func(context.Context, hfmin.Spec) (hfmin.Result, error)) (hfmin.Result, error) {
-	key := Key(spec, solver)
-	sh := &c.shards[key[0]%numShards]
-	for {
-		sh.mu.Lock()
-		if e, ok := sh.m[key]; ok {
-			sh.mu.Unlock()
-			select {
-			case <-e.done:
-			default:
-				// Another worker is solving this exact problem right now;
-				// block on its result instead of duplicating the work — but
-				// only as long as our own context lives.
-				c.dedupWaits.Add(1)
-				obs.Add("memo/dedup-waits", 1)
-				select {
-				case <-e.done:
-				case <-ctx.Done():
-					return hfmin.Result{}, ctx.Err()
-				}
-			}
-			if e.aborted {
-				continue // the computing job was cancelled or panicked; retry
-			}
-			c.hits.Add(1)
-			obs.Add("memo/hits", 1)
-			return e.res, e.err
-		}
-		e := &entry{done: make(chan struct{})}
-		sh.m[key] = e
-		sh.mu.Unlock()
-
-		abort := func() {
-			sh.mu.Lock()
-			delete(sh.m, key)
-			sh.mu.Unlock()
-			e.aborted = true
-			close(e.done)
-		}
-		// The entry must be resolved even if the solver panics, or waiters
-		// would block forever; the panic is re-raised for par's recovery
-		// while the vacated key stays computable by the next caller.
-		completed := false
-		defer func() {
-			if !completed {
-				abort()
-			}
-		}()
-
-		if res, err, ok := c.loadDisk(key); ok {
-			c.diskHits.Add(1)
-			obs.Add("memo/disk-hits", 1)
-			e.res, e.err = res, err
-			completed = true
-			close(e.done)
-			return e.res, e.err
-		}
-
-		// Memory and disk missed; ask the fleet before solving. A hit is
-		// persisted locally too, so a node restart keeps it, and a slow,
-		// dead or corrupt remote falls through to compute (remote.go).
-		if res, err, ok := c.loadRemote(ctx, key); ok {
-			e.res, e.err = res, err
-			completed = true
-			close(e.done)
-			c.storeDisk(key, e.res, e.err)
-			return e.res, e.err
-		}
-
-		c.misses.Add(1)
-		obs.Add("memo/misses", 1)
+	v, _, err := c.store.Do(ctx, Key(spec, solver), recordCodec{}, func(ctx context.Context) (any, error) {
 		res, err := solve(ctx, spec)
-		completed = true
-		if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			abort()
-			return res, err
+		if err != nil && !errors.Is(err, hfmin.ErrInfeasible) {
+			return outcome{res: res}, err
 		}
-		e.res, e.err = res, err
-		close(e.done)
-		c.storeDisk(key, e.res, e.err)
-		c.storeRemote(key, e.res, e.err)
-		return e.res, e.err
+		return outcome{res, err}, nil
+	})
+	o, _ := v.(outcome)
+	if err == nil {
+		err = o.err
 	}
+	return o.res, err
 }

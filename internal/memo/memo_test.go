@@ -184,6 +184,21 @@ func TestDiskRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOtherErrorsNotCached: a minimizer error other than infeasibility
+// (here a malformed spec) vacates the key, so every lookup recomputes.
+func TestOtherErrorsNotCached(t *testing.T) {
+	c := mustCache(t, "")
+	bad := hfmin.Spec{N: 2, Transitions: []hfmin.Transition{tr("000", "001", hfmin.Static1)}}
+	_, err1 := c.Minimize(bad)
+	_, err2 := c.Minimize(bad)
+	if err1 == nil || errors.Is(err1, hfmin.ErrInfeasible) || err2 == nil || err2.Error() != err1.Error() {
+		t.Fatalf("errors = %v / %v, want the same non-infeasible error twice", err1, err2)
+	}
+	if st := c.Stats(); st.Misses != 2 || st.Hits != 0 {
+		t.Errorf("stats = %+v, want 2 misses and no hits", st)
+	}
+}
+
 // TestCorruptAndStaleEntriesIgnored: damaged records and records written
 // under a different version salt demote lookups to misses, never errors.
 func TestCorruptAndStaleEntriesIgnored(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -102,6 +103,15 @@ func TestRemoteHitBitIdentical(t *testing.T) {
 	}
 }
 
+// envelope wraps a record payload in a valid blob envelope.
+func envelope(record string) []byte {
+	data, err := json.Marshal(blobRec{Salt: StoreSalt, Data: json.RawMessage(record)})
+	if err != nil {
+		panic(err)
+	}
+	return data
+}
+
 // TestRemoteCorruptPayloadRejected: garbage, truncated, foreign-salt and
 // wrong-arity remote payloads are all demoted to misses — the solve
 // computes locally and the result is unaffected.
@@ -124,8 +134,10 @@ func TestRemoteCorruptPayloadRejected(t *testing.T) {
 		"garbage":      []byte("not json at all"),
 		"truncated":    valid[:len(valid)/2],
 		"empty-object": []byte("{}"),
-		"foreign-salt": []byte(`{"salt":"memo-v0/other","n":2}`),
-		"bad-mask":     []byte(`{"salt":"` + Salt + `","n":2,"cover":[{"z":18446744073709551615,"o":18446744073709551615}],"on":[{"z":1,"o":2}],"off":[{"z":2,"o":1}]}`),
+		// Well-formed envelopes around invalid records: the record
+		// validation, not the envelope check, must reject these.
+		"foreign-salt": envelope(`{"salt":"memo-v0/other","n":2}`),
+		"bad-mask":     envelope(`{"salt":"` + Salt + `","n":2,"cover":[{"z":18446744073709551615,"o":18446744073709551615}],"on":[{"z":1,"o":2}],"off":[{"z":2,"o":1}]}`),
 	}
 	for name, payload := range corruptions {
 		t.Run(name, func(t *testing.T) {

@@ -1,14 +1,12 @@
 package memo
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,45 +14,48 @@ import (
 	"repro/internal/obs"
 )
 
-// Store generalizes the Cache's memory→disk→remote layering from hfmin
-// records to arbitrary content-addressed blobs. It is the storage tier of
-// the incremental stage engine (internal/stage): every pipeline stage
-// result — a transformed CDFG, an extracted controller after local
-// transforms, a synthesized logic block — is cached under a SHA-256
-// content key, with the same singleflight deduplication, strict
-// validation and best-effort persistence semantics as the hfmin cache.
+// Store is the package's one cache implementation: a content-addressed
+// value cache with the memory → disk → remote → compute lookup chain
+// described in the package doc. The stage engine (internal/stage) keeps
+// every pipeline stage result in one — a transformed CDFG, an extracted
+// controller after local transforms, a synthesized logic block — and
+// Cache is a Store of hfmin outcomes.
 //
-// A stage chooses, via its BlobCodec, whether its results are
-// serializable: a nil codec keeps the stage memory-only (useful for
-// results holding live pointers, like transformed graphs), a non-nil
-// codec enables the disk directory and the remote tier. Payloads on disk
-// and on the wire are wrapped in a salted envelope, so stage blobs and
-// hfmin records can never alias each other even when the fleet serves
-// both through one endpoint. Decode failures are misses, never results.
+// A caller chooses, via the BlobCodec it passes to Do, whether a value is
+// serializable: a nil codec keeps it memory-only (useful for results
+// holding live pointers, like transformed graphs), a non-nil codec lets
+// it reach the disk directory and the remote tier. Payloads on disk and
+// on the wire are wrapped in a salted envelope; decode failures are
+// misses, never results.
 //
 // Errors are never cached: a compute that fails vacates its key, so a
 // transient failure (cancellation, resource exhaustion) cannot poison
-// the cache for later jobs.
+// the cache for later jobs. Callers that want an outcome cached — Cache's
+// infeasibility verdicts — return it as a value.
 type Store struct {
 	dir           string
+	prefix        string // obs namespace of the counters and temp files
 	remote        Remote
 	remoteTimeout time.Duration
 	cap           *dirCap
-	shards        [numShards]blobShard
+	shards        [numShards]shard
 
-	hits       atomic.Int64
-	misses     atomic.Int64
-	dedupWaits atomic.Int64
-	diskHits   atomic.Int64
-	remoteHits atomic.Int64
+	hits, misses, dedupWaits, diskHits     counter
+	remoteHits, remoteMisses, remoteErrors counter
+	remoteCorrupt, remoteStores            counter
 }
 
-// StoreSalt versions the blob envelope. It is distinct from the hfmin
-// record Salt so the two key spaces can never alias, and it must be
-// bumped whenever any cached stage payload's semantics change.
+// StoreSalt versions the blob envelope; bump it whenever the envelope
+// format changes. Payload semantics are versioned by the key spaces
+// themselves (Salt for hfmin records, stage.Salt for stage payloads),
+// so the two kinds never share a key.
 const StoreSalt = "blob-v1"
 
-// BlobCodec serializes one stage's result type for the disk and remote
+// numShards bounds lock contention between concurrent workers; keys are
+// SHA-256 hashes, so the first byte shards uniformly.
+const numShards = 16
+
+// BlobCodec serializes one kind of cached value for the disk and remote
 // tiers. Encode reports ok=false for values that should stay
 // memory-only; Decode reports ok=false on any validation failure, which
 // demotes the record to a miss. Encoded payloads must be valid JSON
@@ -77,6 +78,7 @@ const (
 	SourceRemote                 // filled from the remote tier
 )
 
+// String names the source ("computed", "memory", "disk", "remote").
 func (s Source) String() string {
 	switch s {
 	case SourceComputed:
@@ -92,28 +94,45 @@ func (s Source) String() string {
 	}
 }
 
-// StoreStats is a snapshot of a Store's lookup counters.
-type StoreStats struct {
-	Hits       int64 // served from memory
-	Misses     int64 // computed
-	DedupWaits int64 // blocked on another goroutine computing the same key
-	DiskHits   int64 // loaded from the disk directory
-	RemoteHits int64 // filled from the remote tier
+// Stats is a snapshot of a store's (or cache's) lookup counters.
+type Stats struct {
+	Hits          int64 // served from the in-memory map
+	Misses        int64 // computed (not found in memory, on disk or remotely)
+	DedupWaits    int64 // blocked on another goroutine computing the same key
+	DiskHits      int64 // loaded from the persistent cache directory
+	RemoteHits    int64 // filled from the remote tier
+	RemoteErrors  int64 // remote fetches that failed or timed out
+	RemoteCorrupt int64 // remote payloads rejected by validation
 }
 
-type blobShard struct {
+// counter is one lookup outcome, counted for Stats and mirrored to the
+// global obs registry under its "<prefix>/..." name.
+type counter struct {
+	name string
+	n    atomic.Int64
+}
+
+func (c *counter) inc() {
+	c.n.Add(1)
+	obs.Add(c.name, 1)
+}
+
+type shard struct {
 	mu sync.Mutex
-	m  map[[sha256.Size]byte]*blobEntry
+	m  map[[sha256.Size]byte]*entry
 }
 
-// blobEntry mirrors the Cache's entry: done closes when val/data are
-// final, aborted marks a vacated computation whose waiters must retry.
-// data holds the encoded envelope (nil for memory-only values) so Export
-// can serve fleet cache fills without re-encoding.
-type blobEntry struct {
+// entry is one cached computation. done is closed when val/data are
+// final; waiters block on it (singleflight). aborted marks an entry whose
+// computation failed, was cancelled or panicked: it has been removed
+// from the map and waiters retry rather than inheriting the error. data
+// holds the encoded envelope once a disk or remote tier needed it; codec
+// lets Export encode the value on demand when it did not.
+type entry struct {
 	done    chan struct{}
 	val     any
 	data    []byte
+	codec   BlobCodec
 	aborted bool
 }
 
@@ -127,49 +146,57 @@ type blobRec struct {
 // layer (the directory is created if needed); empty selects
 // in-memory-only operation.
 func NewStore(dir string) (*Store, error) {
+	return newStore(dir, "blob")
+}
+
+// newStore is NewStore with the obs namespace of the store's counters:
+// "blob" for stage payloads, "memo" for the hfmin Cache.
+func newStore(dir, prefix string) (*Store, error) {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("memo: store dir: %w", err)
+			return nil, fmt.Errorf("memo: cache dir: %w", err)
 		}
 	}
-	s := &Store{}
-	s.dir = dir
+	s := &Store{dir: dir, prefix: prefix}
+	for c, name := range map[*counter]string{
+		&s.hits: "hits", &s.misses: "misses", &s.dedupWaits: "dedup-waits", &s.diskHits: "disk-hits",
+		&s.remoteHits: "remote/hits", &s.remoteMisses: "remote/misses", &s.remoteErrors: "remote/errors",
+		&s.remoteCorrupt: "remote/corrupt", &s.remoteStores: "remote/stores",
+	} {
+		c.name = prefix + "/" + name
+	}
 	for i := range s.shards {
-		s.shards[i].m = map[[sha256.Size]byte]*blobEntry{}
+		s.shards[i].m = map[[sha256.Size]byte]*entry{}
 	}
 	return s, nil
 }
 
-// SetRemote attaches a remote tier consulted between disk and compute,
-// bounded per-lookup by timeout (<= 0 selects DefaultRemoteTimeout).
-// Attach before sharing the store, as the daemon does at startup.
-func (s *Store) SetRemote(r Remote, timeout time.Duration) {
-	if timeout <= 0 {
-		timeout = DefaultRemoteTimeout
-	}
-	s.remote = r
-	s.remoteTimeout = timeout
-}
-
 // Stats returns the current lookup counters.
-func (s *Store) Stats() StoreStats {
+func (s *Store) Stats() Stats {
 	if s == nil {
-		return StoreStats{}
+		return Stats{}
 	}
-	return StoreStats{
-		Hits:       s.hits.Load(),
-		Misses:     s.misses.Load(),
-		DedupWaits: s.dedupWaits.Load(),
-		DiskHits:   s.diskHits.Load(),
-		RemoteHits: s.remoteHits.Load(),
+	return Stats{
+		Hits:          s.hits.n.Load(),
+		Misses:        s.misses.n.Load(),
+		DedupWaits:    s.dedupWaits.n.Load(),
+		DiskHits:      s.diskHits.n.Load(),
+		RemoteHits:    s.remoteHits.n.Load(),
+		RemoteErrors:  s.remoteErrors.n.Load(),
+		RemoteCorrupt: s.remoteCorrupt.n.Load(),
 	}
 }
 
 // Do returns the value cached under key, computing and caching it on a
 // miss. Concurrent calls for the same key collapse onto one computation
 // (singleflight); a computation that returns an error — or whose context
-// ends — vacates the key instead of caching. Cached values are shared by
-// reference across callers, who must treat them as immutable.
+// ends — vacates the key instead of caching. A lookup that dedup-waits
+// stops waiting when its own ctx ends (the computing call keeps its
+// context). Cached values are shared by reference across callers, who
+// must treat them as immutable.
+//
+// A computed value is encoded only when a disk directory or remote tier
+// will store it; Export encodes memory-only entries on demand.
 func (s *Store) Do(ctx context.Context, key [sha256.Size]byte, codec BlobCodec, compute func(context.Context) (any, error)) (any, Source, error) {
 	if s == nil {
 		v, err := compute(ctx)
@@ -183,8 +210,7 @@ func (s *Store) Do(ctx context.Context, key [sha256.Size]byte, codec BlobCodec, 
 			select {
 			case <-e.done:
 			default:
-				s.dedupWaits.Add(1)
-				obs.Add("blob/dedup-waits", 1)
+				s.dedupWaits.inc()
 				select {
 				case <-e.done:
 				case <-ctx.Done():
@@ -194,172 +220,82 @@ func (s *Store) Do(ctx context.Context, key [sha256.Size]byte, codec BlobCodec, 
 			if e.aborted {
 				continue // the computing call failed or was cancelled; retry
 			}
-			s.hits.Add(1)
-			obs.Add("blob/hits", 1)
+			s.hits.inc()
 			return e.val, SourceMemory, nil
 		}
-		e := &blobEntry{done: make(chan struct{})}
+		e := &entry{done: make(chan struct{}), codec: codec}
 		sh.m[key] = e
 		sh.mu.Unlock()
 
-		abort := func() {
-			sh.mu.Lock()
-			delete(sh.m, key)
-			sh.mu.Unlock()
-			e.aborted = true
-			close(e.done)
-		}
 		// Resolve the entry even if compute panics, so waiters never block
 		// forever; the panic propagates to par's recovery while the key
 		// stays computable.
 		completed := false
 		defer func() {
 			if !completed {
-				abort()
+				sh.mu.Lock()
+				delete(sh.m, key)
+				sh.mu.Unlock()
+				e.aborted = true
+				close(e.done)
 			}
 		}()
+		fill := func(v any, data []byte) {
+			e.val, e.data = v, data
+			completed = true
+			close(e.done)
+		}
 
 		if codec != nil {
 			if v, data, ok := s.loadDisk(key, codec); ok {
-				s.diskHits.Add(1)
-				obs.Add("blob/disk-hits", 1)
-				e.val, e.data = v, data
-				completed = true
-				close(e.done)
+				s.diskHits.inc()
+				fill(v, data)
 				return v, SourceDisk, nil
 			}
+			// A remote hit is persisted locally too, so a node restart
+			// keeps it; a slow, dead or corrupt remote falls through.
 			if v, data, ok := s.loadRemote(ctx, key, codec); ok {
-				s.remoteHits.Add(1)
-				obs.Add("blob/remote/hits", 1)
-				e.val, e.data = v, data
-				completed = true
-				close(e.done)
+				s.remoteHits.inc()
+				fill(v, data)
 				s.writeDisk(key, data)
 				return v, SourceRemote, nil
 			}
 		}
 
-		s.misses.Add(1)
-		obs.Add("blob/misses", 1)
+		s.misses.inc()
 		v, err := compute(ctx)
-		completed = true
 		if err != nil {
-			abort()
-			return v, SourceComputed, err
+			return v, SourceComputed, err // the deferred abort vacates the key
 		}
-		e.val = v
-		if codec != nil {
-			if payload, ok := codec.Encode(v); ok {
-				if data, merr := json.Marshal(blobRec{Salt: StoreSalt, Data: payload}); merr == nil {
-					e.data = data
-					s.writeDisk(key, data)
-					s.storeRemote(key, data)
-				}
-			}
+		var data []byte
+		if codec != nil && (s.dir != "" || s.remote != nil) {
+			data, _ = encodeBlob(codec, v)
 		}
-		close(e.done)
+		fill(v, data)
+		if data != nil {
+			s.writeDisk(key, data)
+			s.storeRemote(key, data)
+		}
 		return v, SourceComputed, nil
 	}
 }
 
-func (s *Store) blobPath(key [sha256.Size]byte) string {
-	return filepath.Join(s.dir, hex.EncodeToString(key[:])+".json")
-}
-
-// decodeBlob validates the envelope (salt, well-formed JSON, no trailing
-// data) and hands the payload to the codec; any defect is a miss.
-func decodeBlob(data []byte, codec BlobCodec) (any, bool) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var rec blobRec
-	if dec.Decode(&rec) != nil || dec.More() || rec.Salt != StoreSalt {
+// encodeBlob wraps a codec payload in the salted envelope.
+func encodeBlob(codec BlobCodec, v any) ([]byte, bool) {
+	payload, ok := codec.Encode(v)
+	if !ok {
 		return nil, false
 	}
-	return codec.Decode(rec.Data)
-}
-
-func (s *Store) loadDisk(key [sha256.Size]byte, codec BlobCodec) (any, []byte, bool) {
-	if s.dir == "" {
-		return nil, nil, false
-	}
-	data, err := os.ReadFile(s.blobPath(key))
-	if err != nil {
-		return nil, nil, false
-	}
-	v, ok := decodeBlob(data, codec)
-	if !ok {
-		return nil, nil, false
-	}
-	return v, data, true
-}
-
-// writeDisk persists an encoded envelope with the same write-then-rename
-// discipline as the hfmin records; failures are ignored.
-func (s *Store) writeDisk(key [sha256.Size]byte, data []byte) {
-	if s.dir == "" {
-		return
-	}
-	tmp, terr := os.CreateTemp(s.dir, "blob-*")
-	if terr != nil {
-		return
-	}
-	if _, werr := tmp.Write(data); werr != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if cerr := tmp.Close(); cerr != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if rerr := os.Rename(tmp.Name(), s.blobPath(key)); rerr != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	s.cap.wrote(len(data))
-}
-
-func (s *Store) loadRemote(ctx context.Context, key [sha256.Size]byte, codec BlobCodec) (any, []byte, bool) {
-	if s.remote == nil {
-		return nil, nil, false
-	}
-	rctx, cancel := context.WithTimeout(ctx, s.remoteTimeout)
-	defer cancel()
-	data, err := s.remote.Fetch(rctx, hex.EncodeToString(key[:]))
-	switch {
-	case err != nil:
-		obs.Add("blob/remote/errors", 1)
-		return nil, nil, false
-	case data == nil:
-		obs.Add("blob/remote/misses", 1)
-		return nil, nil, false
-	}
-	v, ok := decodeBlob(data, codec)
-	if !ok {
-		obs.Add("blob/remote/corrupt", 1)
-		return nil, nil, false
-	}
-	return v, data, true
-}
-
-// storeRemote offers a freshly-encoded envelope to the remote tier,
-// detached from the computing job's context (the result is final).
-func (s *Store) storeRemote(key [sha256.Size]byte, data []byte) {
-	if s.remote == nil {
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), s.remoteTimeout)
-	defer cancel()
-	if s.remote.Store(ctx, hex.EncodeToString(key[:]), data) == nil {
-		obs.Add("blob/remote/stores", 1)
-	}
+	data, err := json.Marshal(blobRec{Salt: StoreSalt, Data: payload})
+	return data, err == nil
 }
 
 // Export serializes the store's entry for the hex-encoded key, serving
-// the fleet cache-fill protocol alongside Cache.Export. Completed
-// in-memory entries with an encoded envelope are served first, then the
-// disk layer; the requester re-validates everything, so the bytes are
-// returned verbatim.
+// the fleet cache-fill protocol (GET /v1/cache/{key}). Completed
+// in-memory entries are served first — encoded now if no tier needed
+// them encoded yet — then the disk layer; in-flight, aborted, absent and
+// memory-only entries report ok=false. The requester re-validates
+// everything, so disk bytes are returned verbatim.
 func (s *Store) Export(hexKey string) ([]byte, bool) {
 	if s == nil {
 		return nil, false
@@ -378,8 +314,13 @@ func (s *Store) Export(hexKey string) ([]byte, bool) {
 	if ok {
 		select {
 		case <-e.done:
-			if !e.aborted && e.data != nil {
+			if e.data != nil {
 				return e.data, true
+			}
+			if !e.aborted && e.codec != nil {
+				if data, ok := encodeBlob(e.codec, e.val); ok {
+					return data, true
+				}
 			}
 		default: // still being computed
 		}

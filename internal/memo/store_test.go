@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -242,6 +243,50 @@ func TestStoreExport(t *testing.T) {
 	}
 }
 
+// countingCodec is textCodec with a count of Encode calls.
+type countingCodec struct {
+	textCodec
+	encodes *atomic.Int64
+}
+
+func (c countingCodec) Encode(v any) ([]byte, bool) {
+	c.encodes.Add(1)
+	return c.textCodec.Encode(v)
+}
+
+// TestStoreEncodesLazily: a store with neither a directory nor a remote
+// never encodes on a miss, yet Export still serves a valid envelope for
+// the completed key by encoding it on demand.
+func TestStoreEncodesLazily(t *testing.T) {
+	s, err := NewStore("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec := countingCodec{encodes: new(atomic.Int64)}
+	key := blobKey("lazy")
+	for i := 0; i < 2; i++ {
+		if _, _, err := s.Do(context.Background(), key, codec, func(context.Context) (any, error) {
+			return "kept in memory", nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := codec.encodes.Load(); n != 0 {
+		t.Fatalf("memory-only store encoded %d times", n)
+	}
+	data, ok := s.Export(hex.EncodeToString(key[:]))
+	if !ok {
+		t.Fatal("Export missed a completed memory-only entry")
+	}
+	v, ok := decodeBlob(data, textCodec{})
+	if !ok || v.(string) != "kept in memory" {
+		t.Fatalf("exported envelope %s decodes to (%v, %v)", data, v, ok)
+	}
+	if n := codec.encodes.Load(); n != 1 {
+		t.Errorf("Export encoded %d times, want 1", n)
+	}
+}
+
 // TestStoreNilSafety: a nil store computes every time and never panics.
 func TestStoreNilSafety(t *testing.T) {
 	var s *Store
@@ -251,7 +296,7 @@ func TestStoreNilSafety(t *testing.T) {
 	if err != nil || v.(string) != "direct" || src != SourceComputed {
 		t.Fatalf("got (%v, %v, %v)", v, src, err)
 	}
-	if st := s.Stats(); st != (StoreStats{}) {
+	if st := s.Stats(); st != (Stats{}) {
 		t.Errorf("nil store stats %+v", st)
 	}
 	if _, ok := s.Export("00"); ok {

@@ -38,8 +38,10 @@ type FleetConfig struct {
 	// Blobs, when non-nil, is the stage-payload store also served at
 	// GET /v1/cache/{key}: a key missing from Cache falls through to it,
 	// so one endpoint ships both hfmin records and stage blobs between
-	// nodes. The distinct salts (memo.Salt vs memo.StoreSalt) keep the
-	// two record kinds from ever aliasing.
+	// nodes. Both travel in the same blob envelope; the two kinds never
+	// alias because their keys are hashed over different salts (memo.Salt
+	// vs stage.Salt), and each requester re-validates the payload
+	// with its own codec.
 	Blobs *memo.Store
 	// Retry shapes forwarding retries; the zero value selects
 	// fleet.Backoff's defaults (3 attempts from 50ms).
@@ -241,7 +243,7 @@ func (p *fleetProxy) byJobID() http.Handler {
 
 // cacheGet serves the fleet cache-fill protocol from the local memo
 // cache, falling through to the stage-payload store: both record kinds
-// share the endpoint and are told apart by their envelope salts.
+// share the endpoint, and their disjoint key spaces tell them apart.
 func (p *fleetProxy) cacheGet(w http.ResponseWriter, r *http.Request) {
 	data, ok := p.cfg.Cache.Export(r.PathValue("key"))
 	if !ok {

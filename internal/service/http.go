@@ -79,7 +79,8 @@ type errorBody struct {
 //	GET    /v1/jobs/{id}/events  job progress: SSE stream of lifecycle and
 //	                      pipeline-span events (?poll=1 long-polls a JSON
 //	                      batch instead; see events.go)
-//	DELETE /v1/jobs/{id}  cancel a queued or running job
+//	DELETE /v1/jobs/{id}  cancel a queued or running job (a deduplicated
+//	                      job only once its last submitter cancels)
 //	GET    /healthz       liveness (503 while draining)
 //	GET    /metrics       the obs registry in Prometheus text format
 func (m *Manager) Handler() http.Handler {

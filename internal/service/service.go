@@ -22,7 +22,11 @@
 // running job it cancels the job's context, which the pipeline observes
 // at stage boundaries, between encoding-ladder rungs and inside the
 // covering branch-and-bound, releasing the job's pool workers within a
-// poll interval. Cancelling a terminal job is a no-op.
+// poll interval. Cancelling a terminal job is a no-op. A job that
+// request dedup (Config.Dedup) handed to several submitters is shared:
+// each Cancel detaches one submitter, and only the last submitter's
+// Cancel stops the run, so one client can never cancel another
+// client's job.
 //
 // # Shared resources
 //
@@ -178,8 +182,10 @@ type Config struct {
 	// that job instead of admitting a new one, counted by
 	// service/dedup_hits. The codec's deterministic encoding makes the
 	// key canonical, so two users posting the same CDFG share one
-	// pipeline run. Terminal jobs never match — resubmitting a finished
-	// document is a fresh (memo-cache-warm) job.
+	// pipeline run; the run is cancelled only when every submitter has
+	// cancelled (see Manager.Cancel). Terminal jobs never match —
+	// resubmitting a finished document is a fresh (memo-cache-warm) job,
+	// and so is resubmitting one whose every submitter has cancelled.
 	Dedup bool
 	// NodeID, when non-empty, suffixes every job ID with "@<NodeID>" so a
 	// fleet peer receiving a poll for a foreign job can route it to the
@@ -220,13 +226,14 @@ type Job struct {
 	key    string // content key; set when the manager dedups
 	events *eventLog
 
-	mu     sync.Mutex
-	state  State
-	stage  string // most recently completed pipeline stage (obs span)
-	err    error
-	result []byte
-	cancel context.CancelFunc
-	done   chan struct{}
+	mu         sync.Mutex
+	state      State
+	submitters int    // attached submitters; <= 0 once the last one cancelled
+	stage      string // most recently completed pipeline stage (obs span)
+	err        error
+	result     []byte
+	cancel     context.CancelFunc
+	done       chan struct{}
 
 	submitted time.Time
 	finished  time.Time
@@ -280,6 +287,19 @@ func (j *Job) setStage(s string) {
 	j.mu.Lock()
 	j.stage = s
 	j.mu.Unlock()
+}
+
+// attach joins one more submitter to a live job (request dedup). It
+// reports false for a terminal job or one whose last submitter has
+// cancelled it: such a job is on its way out and must not be shared.
+func (j *Job) attach() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state.Terminal() || j.submitters <= 0 {
+		return false
+	}
+	j.submitters++
+	return true
 }
 
 // finish moves the job to a terminal state exactly once.
@@ -392,11 +412,11 @@ func (m *Manager) SubmitKeyed(graph *cdfg.Graph, level core.Level, mode Mode, ke
 	}
 	if m.cfg.Dedup {
 		if prior, ok := m.byKey[key]; ok {
-			if !prior.State().Terminal() {
+			if prior.attach() {
 				obs.Add("service/dedup_hits", 1)
 				return prior, nil
 			}
-			delete(m.byKey, key) // stale: raced with completion
+			delete(m.byKey, key) // stale: finished or abandoned
 		}
 	}
 	m.nextID++
@@ -405,14 +425,15 @@ func (m *Manager) SubmitKeyed(graph *cdfg.Graph, level core.Level, mode Mode, ke
 		id += "@" + m.cfg.NodeID
 	}
 	job := &Job{
-		id:        id,
-		graph:     graph,
-		level:     level,
-		mode:      mode,
-		events:    newEventLog(),
-		state:     StateQueued,
-		done:      make(chan struct{}),
-		submitted: time.Now(),
+		id:         id,
+		graph:      graph,
+		level:      level,
+		mode:       mode,
+		events:     newEventLog(),
+		state:      StateQueued,
+		submitters: 1,
+		done:       make(chan struct{}),
+		submitted:  time.Now(),
 	}
 	select {
 	case m.queue <- job:
@@ -456,16 +477,26 @@ func (m *Manager) Get(id string) (*Job, error) {
 	return job, nil
 }
 
-// Cancel requests cancellation of a job. A queued job becomes cancelled
-// immediately; a running job has its context cancelled and reaches the
-// cancelled state once the pipeline observes it. Cancelling a terminal
-// job is a no-op. The updated job is returned either way.
+// Cancel detaches one submitter from a job and cancels the job once none
+// is left. A job shared by request dedup keeps running for its remaining
+// submitters; otherwise a queued job becomes cancelled immediately and a
+// running job has its context cancelled, reaching the cancelled state
+// once the pipeline observes it. Cancelling a terminal job is a no-op.
+// The updated job is returned either way. Drain's force-cancel bypasses
+// the count.
 func (m *Manager) Cancel(id string) (*Job, error) {
 	job, err := m.Get(id)
 	if err != nil {
 		return nil, err
 	}
 	job.mu.Lock()
+	if !job.state.Terminal() {
+		job.submitters--
+		if job.submitters > 0 { // others still wait on this run
+			job.mu.Unlock()
+			return job, nil
+		}
+	}
 	switch {
 	case job.state == StateQueued:
 		// The job stays in the channel; the runner skips terminal jobs.

@@ -242,6 +242,82 @@ func TestCancelQueuedJobNeverRuns(t *testing.T) {
 	}
 }
 
+// TestCancelDetachesDedupSubmitter: a job that request dedup handed to
+// two submitters survives one submitter's cancel and finishes
+// byte-identical to a direct run; once both submitters cancel, the run
+// is cancelled, and the abandoned job is never handed out again.
+func TestCancelDetachesDedupSubmitter(t *testing.T) {
+	ctx := context.Background()
+	direct, err := core.RunCtx(ctx, diffeq.Build(diffeq.DefaultParams()), core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := direct.SynthesizeLogicCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := codec.EncodeSynthesis(direct, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// parkedShared starts a manager and submits the same document twice,
+	// returning the one job dedup hands both submitters once it is parked
+	// inside the gated minimizer.
+	parkedShared := func(min *gateMin) (*Manager, *Job) {
+		t.Helper()
+		m := New(Config{Concurrency: 1, Dedup: true, Minimizer: min})
+		t.Cleanup(m.Close)
+		a, err := m.Submit(diffeq.Build(diffeq.DefaultParams()), core.OptimizedGTLT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := m.Submit(diffeq.Build(diffeq.DefaultParams()), core.OptimizedGTLT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b {
+			t.Fatalf("dedup handed out %s and %s, want one job", a.ID(), b.ID())
+		}
+		waitState(t, a, StateRunning)
+		return m, a
+	}
+
+	// One of two submitters cancels: the other still gets its document.
+	min := &gateMin{gate: make(chan struct{})}
+	m, job := parkedShared(min)
+	if _, err := m.Cancel(job.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if st := job.State(); st != StateRunning {
+		t.Fatalf("state after one of two cancels = %v, want running", st)
+	}
+	close(min.gate)
+	waitState(t, job, StateDone)
+	if !bytes.Equal(job.Result(), want) {
+		t.Fatal("surviving submitter's document differs from the direct run")
+	}
+
+	// Both submitters cancel: the run is cancelled.
+	m, job = parkedShared(&gateMin{gate: make(chan struct{})})
+	for i := 0; i < 2; i++ {
+		if _, err := m.Cancel(job.ID()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	again, err := m.Submit(diffeq.Build(diffeq.DefaultParams()), core.OptimizedGTLT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again == job {
+		t.Fatal("an abandoned job was handed to a new submitter")
+	}
+	waitState(t, job, StateCancelled)
+	if !errors.Is(job.Err(), context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", job.Err())
+	}
+}
+
 func TestJobTimeout(t *testing.T) {
 	min := &gateMin{gate: make(chan struct{})} // never opened: job hangs until deadline
 	m := New(Config{Concurrency: 1, JobTimeout: 50 * time.Millisecond, Minimizer: min})
