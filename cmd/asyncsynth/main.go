@@ -68,7 +68,6 @@ import (
 	"repro/internal/diffeq"
 	"repro/internal/explore"
 	"repro/internal/frontend"
-	"repro/internal/logic"
 	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/search"
@@ -87,18 +86,12 @@ var (
 	cacheDir    = flag.String("cache-dir", "", "persist hazard-free minimization results under this directory (warm runs skip re-solving)")
 	cacheMax    = flag.Int64("cache-max-bytes", 0, "cap the on-disk cache at this many bytes, evicting oldest entries first (0 = unbounded)")
 	noCache     = flag.Bool("no-cache", false, "disable hazard-free minimization memoization entirely")
-	solverName  = flag.String("solver", "bb", "covering backend for exact hazard-free minimization: bb, pb, portfolio or greedy")
 )
 
 // minimizer is the process-wide hfmin memoization cache built from
 // -cache-dir/-no-cache; nil when -no-cache. A typed nil *memo.Cache must
 // not leak into the synth.Minimizer interface, hence the indirection.
 var minimizer synth.Minimizer
-
-// coverSolver is the covering backend parsed from -solver; it configures
-// both the memo cache (backend is part of the cache key) and the direct
-// hfmin path used under -no-cache.
-var coverSolver logic.Solver
 
 func main() { os.Exit(run()) }
 
@@ -123,14 +116,8 @@ func run() int {
 		return 1
 	}
 	defer teardown()
-	coverSolver, err = logic.ParseSolver(*solverName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "asyncsynth:", err)
-		usage()
-		return 2
-	}
 	if !*noCache {
-		cache, err := memo.NewSolver(*cacheDir, coverSolver)
+		cache, err := memo.New(*cacheDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "asyncsynth:", err)
 			return 1
@@ -262,9 +249,6 @@ flags:
                             oldest entries first (0 = unbounded, default)
   -no-cache                 disable minimization memoization (results are
                             identical either way; only wall time changes)
-  -solver name              covering backend for exact minimization:
-                            bb (default), pb, portfolio (results identical
-                            to bb) or greedy (heuristic, inexact)
 
 commands:
   report fig5|fig12|fig13   regenerate a paper table/figure (DIFFEQ)
@@ -297,14 +281,12 @@ benchmarks: diffeq (default), gcd, fir, ewf, ar — or a path to an .adl
 source file anywhere a benchmark name is accepted`)
 }
 
-// defaultOpts is core.DefaultOptions with the -j worker-pool bound, the
-// -cache-dir/-no-cache minimization cache and the -solver covering backend
-// applied.
+// defaultOpts is core.DefaultOptions with the -j worker-pool bound and
+// the -cache-dir/-no-cache minimization cache applied.
 func defaultOpts() core.Options {
 	opt := core.DefaultOptions()
 	opt.Parallelism = *jWorkers
 	opt.Minimizer = minimizer
-	opt.Solver = coverSolver
 	return opt
 }
 
@@ -497,7 +479,6 @@ func doExplore(args []string) error {
 		Workers:    *jWorkers,
 		Synthesize: true,
 		Minimizer:  minimizer,
-		Solver:     coverSolver,
 	})
 	fmt.Print(explore.Format(scores))
 	if best, ok := explore.Best(scores, func(s explore.Score) float64 { return s.Makespan }); ok {
@@ -584,7 +565,6 @@ func doSearch(args []string) error {
 		Weights:    search.Weights{Time: p.wTime, Area: p.wArea},
 		Synthesize: !*noSynth,
 		Minimizer:  minimizer,
-		Solver:     coverSolver,
 	}
 	if p.waves == 0 {
 		sopt.Waves = -1

@@ -7,7 +7,7 @@
 //	asyncsynthd [-addr host:port] [-queue-depth N] [-concurrency N]
 //	            [-j N] [-job-timeout D] [-drain-timeout D]
 //	            [-cache-dir dir] [-cache-max-bytes N] [-no-cache]
-//	            [-no-stage] [-no-dedup]
+//	            [-no-dedup]
 //	            [-self URL] [-peers URL,URL,...] [-cache-peers URL,...]
 //	            [-cache-timeout D] [-health-interval D]
 //
@@ -80,7 +80,6 @@ import (
 	"time"
 
 	"repro/internal/fleet"
-	"repro/internal/logic"
 	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/service"
@@ -98,9 +97,7 @@ var (
 	cacheDir     = flag.String("cache-dir", "", "persist minimization results and stage payloads under this directory")
 	cacheMax     = flag.Int64("cache-max-bytes", 0, "cap each on-disk cache at this many bytes, evicting oldest entries (0 = unbounded)")
 	noCache      = flag.Bool("no-cache", false, "disable the shared minimization memo cache")
-	noStage      = flag.Bool("no-stage", false, "disable the incremental stage engine (every job recomputes all pipeline stages)")
 	noDedup      = flag.Bool("no-dedup", false, "disable request-level dedup of identical submissions")
-	solverName   = flag.String("solver", "bb", "covering backend for exact hazard-free minimization: bb, pb, portfolio or greedy")
 
 	selfURL        = flag.String("self", "", "advertised base URL of this node (default http://<bound addr>)")
 	peerList       = flag.String("peers", "", "comma-separated base URLs of the other fleet nodes")
@@ -142,13 +139,6 @@ func run() int {
 	tracer.Enable()
 	obs.SetTracer(tracer)
 
-	solver, err := logic.ParseSolver(*solverName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "asyncsynthd:", err)
-		flag.Usage()
-		return 2
-	}
-
 	// Bind before building the fleet identity: with -addr :0 the node's
 	// ID and inferred -self must name the port the kernel actually chose.
 	ln, err := net.Listen("tcp", *addr)
@@ -172,7 +162,7 @@ func run() int {
 	var cache *memo.Cache
 	fillPeers := append(append([]string{}, peerURLs...), cachePeerURLs...)
 	if !*noCache {
-		cache, err = memo.NewSolver(*cacheDir, solver)
+		cache, err = memo.New(*cacheDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "asyncsynthd:", err)
 			return 1
@@ -188,23 +178,18 @@ func run() int {
 	// records (a "stage" subdirectory) when -cache-dir is set, and pulls
 	// missing stage blobs from the same peers over the shared
 	// /v1/cache/{key} endpoint.
-	var store *memo.Store
-	var engine *stage.Engine
-	if !*noStage {
-		stageDir := ""
-		if *cacheDir != "" {
-			stageDir = filepath.Join(*cacheDir, "stage")
-		}
-		store, err = memo.NewStore(stageDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "asyncsynthd:", err)
-			return 1
-		}
-		store.SetMaxBytes(*cacheMax)
-		if len(fillPeers) > 0 {
-			store.SetRemote(fleet.NewCacheClient(fillPeers, peers, fleet.CacheClientOptions{}), *cacheTimeout)
-		}
-		engine = stage.New(store)
+	stageDir := ""
+	if *cacheDir != "" {
+		stageDir = filepath.Join(*cacheDir, "stage")
+	}
+	store, err := memo.NewStore(stageDir)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "asyncsynthd:", err)
+		return 1
+	}
+	store.SetMaxBytes(*cacheMax)
+	if len(fillPeers) > 0 {
+		store.SetRemote(fleet.NewCacheClient(fillPeers, peers, fleet.CacheClientOptions{}), *cacheTimeout)
 	}
 
 	cfg := service.Config{
@@ -213,8 +198,7 @@ func run() int {
 		Parallelism: *jWorkers,
 		JobTimeout:  *jobTimeout,
 		Minimizer:   minimizer,
-		Engine:      engine,
-		Solver:      solver,
+		Engine:      stage.New(store),
 		Dedup:       !*noDedup,
 	}
 	if len(peerURLs) > 0 {

@@ -118,7 +118,8 @@ func RungFor(encodings map[string]int, fu string) int {
 
 // SynthPhase runs gate-level synthesis for one controller with core's
 // error attribution. It takes the machine directly (not a *Synthesis) so
-// concurrent per-controller callers need no shared state.
+// concurrent per-controller callers need no shared state. solver is
+// logic.SolverBB (the zero value) or logic.SolverGreedy, the only values.
 func SynthPhase(ctx context.Context, m *bm.Machine, workers int, min synth.Minimizer, solver logic.Solver, rung int, fu string) (*synth.Result, error) {
 	r, err := synth.SynthesizeRung(ctx, m, workers, min, solver, rung)
 	if err != nil {

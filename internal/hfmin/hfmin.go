@@ -32,6 +32,7 @@ import (
 	"sort"
 
 	"repro/internal/logic"
+	"repro/internal/obs"
 )
 
 // Kind classifies the function behaviour over one input transition.
@@ -131,7 +132,7 @@ type Result struct {
 	Required   []logic.Cube
 	Privileged []Privileged
 	Primes     []logic.Cube
-	Exact      bool // covering solved exactly
+	Exact      bool // minimum proven: prime generation complete and covering solved exactly
 }
 
 // Privileged is a dynamic transition cube with the subcube every
@@ -295,11 +296,9 @@ func MinimizeHeuristicCtx(ctx context.Context, spec Spec) (Result, error) {
 	return minimize(ctx, spec, logic.SolverGreedy)
 }
 
-// MinimizeSolver is MinimizeCtx with an explicit covering backend: the
-// branch-and-bound reference, the pseudo-Boolean solver, the racing
-// portfolio, or the greedy heuristic (which reports Exact=false). Exact
-// backends produce bit-identical covers whenever the search completes, so
-// the choice affects speed, not results (see logic.SolvePortfolio).
+// MinimizeSolver is MinimizeCtx with an explicit covering backend:
+// logic.SolverBB (exact branch-and-bound, as MinimizeCtx) or
+// logic.SolverGreedy (the heuristic, which reports Exact=false).
 func MinimizeSolver(ctx context.Context, spec Spec, solver logic.Solver) (Result, error) {
 	return minimize(ctx, spec, solver)
 }
@@ -312,15 +311,23 @@ func MinimizeSolver(ctx context.Context, spec Spec, solver logic.Solver) (Result
 // callers configure both. Exported for the covering benchmarks and the
 // worst-case capture tool (scripts/capturecover).
 func Covering(spec Spec) (Result, *logic.CoveringProblem, error) {
-	res, err := Analyze(spec)
+	res, prob, _, err := covering(spec)
+	return res, prob, err
+}
+
+// covering is Covering that also reports whether dhf-prime generation was
+// truncated at logic.MaxExpansions, in which case the column set may miss
+// primes and no cover over it can be claimed exact.
+func covering(spec Spec) (res Result, prob *logic.CoveringProblem, truncated bool, err error) {
+	res, err = Analyze(spec)
 	if err != nil {
-		return res, nil, err
+		return res, nil, false, err
 	}
 	if len(res.Required) == 0 {
-		return res, &logic.CoveringProblem{}, nil
+		return res, &logic.CoveringProblem{}, false, nil
 	}
-	res.Primes = dhfPrimes(res.Required, res.OffSet, res.Privileged)
-	prob := &logic.CoveringProblem{NumCols: len(res.Primes)}
+	res.Primes, truncated = dhfPrimes(res.Required, res.OffSet, res.Privileged)
+	prob = &logic.CoveringProblem{NumCols: len(res.Primes)}
 	prob.Cost = make([]int, len(res.Primes))
 	const productWeight = 1 << 12 // lexicographic: products dominate literals
 	for i, p := range res.Primes {
@@ -334,15 +341,18 @@ func Covering(spec Spec) (Result, *logic.CoveringProblem, error) {
 			}
 		}
 		if len(row) == 0 {
-			return res, nil, fmt.Errorf("%w: required cube %s uncoverable", ErrInfeasible, r)
+			return res, nil, truncated, fmt.Errorf("%w: required cube %s uncoverable", ErrInfeasible, r)
 		}
 		prob.Rows = append(prob.Rows, row)
 	}
-	return res, prob, nil
+	return res, prob, truncated, nil
 }
 
 func minimize(ctx context.Context, spec Spec, solver logic.Solver) (Result, error) {
-	res, prob, err := Covering(spec)
+	res, prob, truncated, err := covering(spec)
+	if truncated {
+		obs.Add("hfmin/truncated", 1)
+	}
 	if err != nil {
 		return res, err
 	}
@@ -356,7 +366,7 @@ func minimize(ctx context.Context, spec Spec, solver logic.Solver) (Result, erro
 	}
 	prob.Cancel = ctx.Err
 	cols, exact := prob.SolveWith(solver)
-	res.Exact = exact
+	res.Exact = exact && !truncated
 	// A cancelled covering search returns its fallback solution; discard
 	// it — a cancelled job must not observe (or cache) partial answers.
 	if err := ctx.Err(); err != nil {
@@ -375,8 +385,9 @@ func minimize(ctx context.Context, spec Spec, solver logic.Solver) (Result, erro
 // dhfPrimes generates the dynamic-hazard-free prime implicants relevant to
 // covering the required cubes: maximal implicants (disjoint from the
 // OFF-set) with no illegal intersection with any privileged cube.
-func dhfPrimes(required []logic.Cube, off logic.Cover, priv []Privileged) []logic.Cube {
-	primes := logic.PrimesContaining(required, off)
+// truncated reports that prime enumeration hit logic.MaxExpansions.
+func dhfPrimes(required []logic.Cube, off logic.Cover, priv []Privileged) (dhf []logic.Cube, truncated bool) {
+	primes, truncated := logic.PrimesContaining(required, off)
 	seen := map[[2]uint64]bool{}
 	var out []logic.Cube
 	var emit func(p logic.Cube)
@@ -445,7 +456,7 @@ func dhfPrimes(required []logic.Cube, off logic.Cover, priv []Privileged) []logi
 			maximal = append(maximal, p)
 		}
 	}
-	return maximal
+	return maximal, truncated
 }
 
 // Verify checks that a cover is a correct hazard-free implementation of the

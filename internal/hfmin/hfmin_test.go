@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/logic"
+	"repro/internal/obs"
 )
 
 func tr(start, end string, k Kind) Transition {
@@ -397,5 +398,41 @@ func TestMinimizeHeuristicRandomVerifies(t *testing.T) {
 	}
 	if ok == 0 {
 		t.Fatal("no random spec was feasible; generator is broken")
+	}
+}
+
+// TestMinimizeTruncatedNotExact: a required minterm over 26 variables whose
+// OFF-set is 13 cubes, each blocking its own variable pair, has 2^13 primes —
+// more than logic.MaxExpansions — so the minimization must not claim Exact
+// and must count the truncation in hfmin/truncated.
+func TestMinimizeTruncatedNotExact(t *testing.T) {
+	const pairs = 13
+	zero := logic.FullCube(2 * pairs)
+	for v := 0; v < 2*pairs; v++ {
+		zero = zero.With(v, logic.Zero)
+	}
+	spec := Spec{N: 2 * pairs, Transitions: []Transition{{Start: zero, End: zero, Kind: Static1}}}
+	for i := 0; i < pairs; i++ {
+		off := logic.FullCube(2*pairs).With(2*i, logic.One).With(2*i+1, logic.One)
+		spec.Transitions = append(spec.Transitions, Transition{Start: off, End: off, Kind: Static0})
+	}
+
+	prev := obs.Gather()
+	m := obs.NewMetrics()
+	obs.SetMetrics(m)
+	t.Cleanup(func() { obs.SetMetrics(prev) })
+
+	res, err := Minimize(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Exact {
+		t.Error("Exact = true after truncated prime enumeration")
+	}
+	if err := Verify(res, res.Cover); err != nil {
+		t.Errorf("truncated cover is not a valid cover: %v", err)
+	}
+	if got := m.Counter("hfmin/truncated"); got != 1 {
+		t.Errorf("hfmin/truncated = %d, want 1", got)
 	}
 }

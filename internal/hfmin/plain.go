@@ -30,7 +30,8 @@ func MinimizePlain(spec Spec) (Result, error) {
 		return res, nil
 	}
 	res.Privileged = nil
-	res.Primes = logic.PrimesContaining(res.Required, res.OffSet)
+	primes, truncated := logic.PrimesContaining(res.Required, res.OffSet)
+	res.Primes = primes
 	prob := &logic.CoveringProblem{NumCols: len(res.Primes)}
 	prob.Cost = make([]int, len(res.Primes))
 	const productWeight = 1 << 12
@@ -50,7 +51,7 @@ func MinimizePlain(spec Spec) (Result, error) {
 	if cols == nil {
 		return res, ErrInfeasible
 	}
-	res.Exact = exact
+	res.Exact = exact && !truncated
 	res.Cover = logic.Cover{N: spec.N}
 	for _, c := range cols {
 		res.Cover.Add(res.Primes[c])

@@ -9,8 +9,8 @@ import (
 // Cover is a set of cubes over a common variable count, interpreted as the
 // union (logical OR) of its cubes.
 type Cover struct {
-	N     int
-	Cubes []Cube
+	N     int    // number of variables of every cube
+	Cubes []Cube // the products, in insertion order
 }
 
 // NewCover builds a cover over n variables from the given cubes, dropping

@@ -30,6 +30,8 @@ const (
 	None            // contradictory position (cube is empty)
 )
 
+// String renders the value as its cube character: "0", "1", "-", or "!"
+// for a contradictory position.
 func (v Val) String() string {
 	switch v {
 	case Zero:

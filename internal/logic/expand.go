@@ -3,8 +3,10 @@ package logic
 import "sort"
 
 // MaxExpansions caps the number of maximal expansions enumerated for a
-// single cube; pathological blocking structures are truncated (the greedy
-// largest-first expansions are kept).
+// single cube. Enumeration is depth-first over the blocking rows sorted by
+// size, so a truncated run keeps the first MaxExpansions expansions in that
+// order (not the largest ones); Expansions and PrimesContaining report the
+// truncation so callers can drop any exactness claim.
 const MaxExpansions = 4096
 
 // Expansions returns all maximal supercubes of seed that are disjoint from
@@ -14,10 +16,12 @@ const MaxExpansions = 4096
 // The computation reduces to enumerating the minimal hitting sets of the
 // "blocking matrix": for each off cube o intersected with the current
 // expansion candidate, at least one variable on which seed conflicts with o
-// must keep its literal. Enumeration is capped at MaxExpansions.
-func Expansions(seed Cube, off Cover) []Cube {
+// must keep its literal. Enumeration is capped at MaxExpansions;
+// truncated reports that the cap cut it short, so the result may miss
+// primes.
+func Expansions(seed Cube, off Cover) (exps []Cube, truncated bool) {
 	if seed.IsEmpty() {
-		return nil
+		return nil, false
 	}
 	n := seed.N()
 	// Variables bound in seed are the candidates for raising.
@@ -47,116 +51,92 @@ func Expansions(seed Cube, off Cover) []Cube {
 			}
 		}
 		if len(row) == 0 {
-			return nil // seed intersects the off-set
+			return nil, false // seed intersects the off-set
 		}
 		rows = append(rows, row)
 	}
 	if len(rows) == 0 {
-		return []Cube{FullCube(n)}
+		return []Cube{FullCube(n)}, false
 	}
-	hs := minimalHittingSets(rows, MaxExpansions)
+	hs, truncated := minimalHittingSets(rows, MaxExpansions)
 	out := make([]Cube, 0, len(hs))
 	for _, keep := range hs {
 		c := seed
 		for _, v := range boundVars {
-			if !keep[v] {
+			if keep&(1<<uint(v)) == 0 {
 				c = c.Free(v)
 			}
 		}
 		out = append(out, c)
 	}
-	return out
+	return out, truncated
 }
 
 // minimalHittingSets enumerates minimal hitting sets of the given rows
-// (each row is a set of variable indices; a hitting set picks at least one
-// element of every row). The result is a list of "keep" sets. Enumeration is
-// capped at limit.
-func minimalHittingSets(rows [][]int, limit int) []map[int]bool {
+// (each row is a set of variable indices below 64; a hitting set picks at
+// least one element of every row). The result is a list of "keep" sets as
+// variable bitmasks. Enumeration stops at limit sets; truncated reports
+// that part of the search was left unexplored.
+func minimalHittingSets(rows [][]int, limit int) (sets []uint64, truncated bool) {
 	// Sort rows by size: small rows first prunes better.
 	sorted := append([][]int(nil), rows...)
 	sort.Slice(sorted, func(i, j int) bool { return len(sorted[i]) < len(sorted[j]) })
 
-	var results []map[int]bool
-	var rec func(idx int, chosen map[int]bool)
-	rec = func(idx int, chosen map[int]bool) {
-		if len(results) >= limit {
+	hit := func(row []int, chosen uint64) bool {
+		for _, v := range row {
+			if chosen&(1<<uint(v)) != 0 {
+				return true
+			}
+		}
+		return false
+	}
+	var rec func(idx int, chosen uint64)
+	rec = func(idx int, chosen uint64) {
+		if len(sets) >= limit {
+			truncated = true
 			return
 		}
 		// Skip rows already hit.
-		for idx < len(sorted) {
-			hit := false
-			for _, v := range sorted[idx] {
-				if chosen[v] {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				break
-			}
+		for idx < len(sorted) && hit(sorted[idx], chosen) {
 			idx++
 		}
 		if idx == len(sorted) {
 			// Candidate complete; check minimality against found sets and
 			// record. Supersets of existing results are discarded.
-			for _, r := range results {
-				if subset(r, chosen) {
+			for _, r := range sets {
+				if r&^chosen == 0 {
 					return
 				}
 			}
-			cp := make(map[int]bool, len(chosen))
-			for k, v := range chosen {
-				if v {
-					cp[k] = true
-				}
-			}
-			// Remove any previously found supersets of cp.
-			var kept []map[int]bool
-			for _, r := range results {
-				if !subset(cp, r) {
+			// Remove any previously found supersets of chosen.
+			kept := sets[:0]
+			for _, r := range sets {
+				if chosen&^r != 0 {
 					kept = append(kept, r)
 				}
 			}
-			results = append(kept, cp)
+			sets = append(kept, chosen)
 			return
 		}
 		for _, v := range sorted[idx] {
-			if chosen[v] {
-				continue
-			}
-			chosen[v] = true
-			rec(idx+1, chosen)
-			delete(chosen, v)
-			if len(results) >= limit {
-				return
-			}
+			rec(idx+1, chosen|1<<uint(v))
 		}
 	}
-	rec(0, map[int]bool{})
-	return results
-}
-
-func subset(a, b map[int]bool) bool {
-	if len(a) > len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
+	rec(0, 0)
+	return sets, truncated
 }
 
 // PrimesContaining returns all prime implicants of the function whose
 // off-set is off (with everything else on or don't-care) that contain at
-// least one of the seed cubes. Duplicates are removed.
-func PrimesContaining(seeds []Cube, off Cover) []Cube {
+// least one of the seed cubes. Duplicates are removed. truncated reports
+// that some seed's expansions hit MaxExpansions, so primes may be missing.
+func PrimesContaining(seeds []Cube, off Cover) (primes []Cube, truncated bool) {
 	seen := map[[2]uint64]bool{}
 	var out []Cube
 	for _, s := range seeds {
-		for _, p := range Expansions(s, off) {
+		exps, cut := Expansions(s, off)
+		truncated = truncated || cut
+		for _, p := range exps {
 			k := p.Key()
 			if !seen[k] {
 				seen[k] = true
@@ -188,5 +168,5 @@ func PrimesContaining(seeds []Cube, off Cover) []Cube {
 			uniq = append(uniq, p)
 		}
 	}
-	return uniq
+	return uniq, truncated
 }

@@ -2,79 +2,51 @@ package logic
 
 import "fmt"
 
-// SolverVersion identifies the observable behaviour of the covering
+// SolverVersion identifies the observable behaviour of hazard-free
+// minimization below the spec: prime enumeration (expansion order, the
+// MaxExpansions cap and how truncation is reported) and the covering
 // solvers (branching order, reductions, tie-breaks, cost weights). It is
-// folded into internal/memo's cache key, so bumping it rejects persisted
-// minimization results produced by older covering code instead of
-// silently replaying them. Bump on ANY change that can alter a returned
-// cover, even one of equal cost.
-const SolverVersion = "covering-v2"
+// folded into internal/memo's cache key and into internal/stage's synth
+// key, so bumping it rejects persisted results produced by older code
+// instead of silently replaying them. Bump on ANY change that can alter a
+// returned cover or its Exact flag, even one of equal cost.
+const SolverVersion = "covering-v3"
 
 // Solver selects a covering backend. The zero value is SolverBB, the
-// deterministic branch-and-bound reference whose answers define the
-// canonical cover for every exact backend.
+// exact branch-and-bound solver; SolverGreedy is the only other value.
 type Solver int
 
-// Covering solver backends.
+// Covering solver backends. The numeric values are part of the memo and
+// stage cache keys (internal/memo.Key, internal/stage's synth key); do not
+// renumber them.
 const (
-	// SolverBB is the deterministic branch-and-bound reference solver
-	// (bitset matrix, dual-ascent lower bound, dominance reductions).
-	SolverBB Solver = iota
-	// SolverPB is the pseudo-Boolean backend: SAT-style unit propagation
-	// over the row clauses with incremental cost tightening.
-	SolverPB
+	// SolverBB is the deterministic branch-and-bound solver (bitset
+	// matrix, dual-ascent lower bound, dominance reductions).
+	SolverBB Solver = 0
 	// SolverGreedy is the non-exact greedy heuristic (best cost/coverage
 	// ratio first).
-	SolverGreedy
-	// SolverPortfolio races SolverBB and SolverPB (both seeded by the
-	// greedy incumbent) and cancels the loser; exact results are
-	// bit-identical to SolverBB's.
-	SolverPortfolio
+	SolverGreedy Solver = 2
 )
 
+// String returns the backend's short name ("bb" or "greedy").
 func (s Solver) String() string {
 	switch s {
 	case SolverBB:
 		return "bb"
-	case SolverPB:
-		return "pb"
 	case SolverGreedy:
 		return "greedy"
-	case SolverPortfolio:
-		return "portfolio"
 	default:
 		return fmt.Sprintf("Solver(%d)", int(s))
 	}
 }
 
-// ParseSolver maps a CLI/API name to a Solver.
-func ParseSolver(name string) (Solver, error) {
-	switch name {
-	case "", "bb":
-		return SolverBB, nil
-	case "pb":
-		return SolverPB, nil
-	case "greedy":
-		return SolverGreedy, nil
-	case "portfolio":
-		return SolverPortfolio, nil
-	default:
-		return SolverBB, fmt.Errorf("logic: unknown covering solver %q (want bb, pb, greedy or portfolio)", name)
-	}
-}
-
 // SolveWith dispatches to the selected backend. Greedy reports exact =
-// false (its cover is feasible but unproven); the exact backends report
-// whether the search completed within the step budget.
+// false (its cover is feasible but unproven); branch-and-bound reports
+// whether the search completed within the step budget. Any value other
+// than SolverGreedy runs branch-and-bound.
 func (p *CoveringProblem) SolveWith(s Solver) (cols []int, exact bool) {
-	switch s {
-	case SolverPB:
-		return p.SolvePB()
-	case SolverGreedy:
+	if s == SolverGreedy {
 		return p.SolveGreedy(), false
-	case SolverPortfolio:
-		return p.SolvePortfolio()
-	default:
-		return p.Solve()
 	}
+	return p.Solve()
 }

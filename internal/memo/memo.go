@@ -44,12 +44,11 @@
 // Key hashes the canonical form of an hfmin.Spec (transitions sorted by
 // the total order on (kind, start, end) cube keys — see
 // hfmin.Spec.Canonical) together with the covering backend
-// (logic.Solver), logic.SolverVersion and the package Salt. Logically
+// (logic.SolverBB for exact minimizations, logic.SolverGreedy for
+// heuristic ones), logic.SolverVersion and the package Salt. Logically
 // identical specs collide regardless of construction order; bumping Salt
 // or logic.SolverVersion when minimizer or solver behaviour changes
 // invalidates every persisted record rather than replaying stale covers.
-// The backend is part of the key because inexact outcomes
-// (budget-limited searches) may legitimately differ per backend.
 //
 // Infeasibility verdicts (hfmin.ErrInfeasible) are cached values like
 // results — the strict rungs of the encoding ladder rediscover them
@@ -88,13 +87,11 @@ import (
 // folds in alongside this salt.
 const Salt = "memo-v2/hfmin-v1"
 
-// Cache memoizes hfmin.Minimize and hfmin.MinimizeHeuristic: a Store of
-// hfmin outcomes plus the covering backend its exact minimizations use.
-// The zero value is not usable; call New. A nil *Cache is a valid
-// pass-through that memoizes nothing.
+// Cache memoizes hfmin.Minimize and hfmin.MinimizeHeuristic over a Store
+// of hfmin outcomes. The zero value is not usable; call New. A nil *Cache
+// is a valid pass-through that memoizes nothing.
 type Cache struct {
-	store  *Store
-	solver logic.Solver
+	store *Store
 }
 
 // outcome is the cached value of one minimization: a result, or an
@@ -108,32 +105,17 @@ type outcome struct {
 // directory is created if needed); the empty string selects in-memory-only
 // operation.
 func New(dir string) (*Cache, error) {
-	return NewSolver(dir, logic.SolverBB)
-}
-
-// NewSolver is New with an explicit covering backend for the exact
-// minimizations routed through the cache. The backend is fixed at
-// construction because it is part of every cache key — entries computed by
-// different backends are never shared (exact results would be identical,
-// but budget-limited inexact ones may not be).
-func NewSolver(dir string, solver logic.Solver) (*Cache, error) {
 	s, err := newStore(dir, "memo")
 	if err != nil {
 		return nil, err
 	}
-	return &Cache{store: s, solver: solver}, nil
+	return &Cache{store: s}, nil
 }
 
-// Solver returns the covering backend the cache was constructed with.
-// Cached entries are keyed by it, so downstream cache keys (the stage
-// engine's synth keys) must use this backend — not a caller-side flag —
-// when a Cache is the pipeline's Minimizer.
-func (c *Cache) Solver() logic.Solver {
-	if c == nil {
-		return logic.SolverBB
-	}
-	return c.solver
-}
+// Solver returns the covering backend of the cache's exact minimizations,
+// always logic.SolverBB. Downstream cache keys (the stage engine's synth
+// keys) read it when a Cache is the pipeline's Minimizer.
+func (c *Cache) Solver() logic.Solver { return logic.SolverBB }
 
 // Stats returns the current lookup counters.
 func (c *Cache) Stats() Stats {
@@ -179,9 +161,7 @@ func (c *Cache) MinimizeCtx(ctx context.Context, spec hfmin.Spec) (hfmin.Result,
 	if c == nil {
 		return hfmin.MinimizeCtx(ctx, spec)
 	}
-	return c.get(ctx, spec, c.solver, func(ctx context.Context, s hfmin.Spec) (hfmin.Result, error) {
-		return hfmin.MinimizeSolver(ctx, s, c.solver)
-	})
+	return c.get(ctx, spec, logic.SolverBB, hfmin.MinimizeCtx)
 }
 
 // MinimizeHeuristic is hfmin.MinimizeHeuristic behind the cache; the
@@ -196,8 +176,8 @@ func (c *Cache) MinimizeHeuristic(spec hfmin.Spec) (hfmin.Result, error) {
 
 // Key returns the content-addressed cache key of (spec, solver): the
 // SHA-256 hash of the version salt, logic.SolverVersion, the covering
-// backend id and the canonical transition list. Exported for tests and
-// diagnostics.
+// backend id (logic.SolverBB or logic.SolverGreedy, the only values) and
+// the canonical transition list. Exported for tests and diagnostics.
 func Key(spec hfmin.Spec, solver logic.Solver) [sha256.Size]byte {
 	canon := spec.Canonical()
 	h := sha256.New()

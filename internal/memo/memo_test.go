@@ -58,9 +58,6 @@ func TestKeyOrderIndependent(t *testing.T) {
 	if Key(a, logic.SolverBB) == Key(a, logic.SolverGreedy) {
 		t.Error("exact and heuristic keys must differ")
 	}
-	if Key(a, logic.SolverBB) == Key(a, logic.SolverPortfolio) {
-		t.Error("different exact backends must not share keys")
-	}
 	c := simpleSpec()
 	c.Transitions[0].Kind = hfmin.Static0
 	c.Transitions[1].Kind = hfmin.Static1

@@ -103,8 +103,6 @@ type Options struct {
 	// search, so sibling states that re-pose a controller's minimization
 	// problems hit instead of re-solving.
 	Minimizer synth.Minimizer
-	// Solver is the covering backend when no Minimizer is supplied.
-	Solver logic.Solver
 	// Seeds overrides the initial frontier (default StandardPlans).
 	Seeds []Plan
 }
@@ -134,7 +132,8 @@ func (o Options) withDefaults() Options {
 // it: level, global-transform skips, the GT5 decision trace, per-controller
 // local-transform subsets and encoding rungs. Callers that need the actual
 // synthesis artifacts of a chosen plan (not just its score) run the flow
-// themselves with these options.
+// themselves with these options. solver is core.Options.Solver:
+// logic.SolverBB (the zero value) or logic.SolverGreedy, the only values.
 func (p Plan) CoreOptions(workers int, min synth.Minimizer, solver logic.Solver) core.Options {
 	copt := core.Options{
 		Level:  core.OptimizedGT,
@@ -180,7 +179,7 @@ func evaluateOn(ctx context.Context, work *cdfg.Graph, p Plan, opt Options) Stat
 	defer sp.End()
 	st := State{Plan: p}
 	sc := &st.Score
-	s, err := core.RunCtx(ctx, work, p.CoreOptions(opt.Workers, opt.Minimizer, opt.Solver))
+	s, err := core.RunCtx(ctx, work, p.CoreOptions(opt.Workers, opt.Minimizer, logic.SolverBB))
 	if err != nil {
 		sc.RunError = err.Error()
 		sc.Cost = math.Inf(1)

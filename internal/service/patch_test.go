@@ -118,6 +118,24 @@ func TestHTTPPatchEndToEnd(t *testing.T) {
 	waitState(t, pj, StateDone)
 
 	// Byte-identical to a cold full pipeline run on the patched graph.
+	if !bytes.Equal(pj.Result(), coldPatchedRun(t, base, delta)) {
+		t.Error("patched job result differs from a cold run on the edited graph")
+	}
+
+	// The base job's stored graph was not mutated by the patch.
+	again, err := codec.EncodeGraph(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, doc) {
+		t.Error("PATCH mutated the base job's graph")
+	}
+}
+
+// coldPatchedRun applies delta to a copy of base and returns the synthesis
+// document of a direct, uncached core run on the result.
+func coldPatchedRun(t *testing.T, base *cdfg.Graph, delta []byte) []byte {
+	t.Helper()
 	d, err := codec.DecodeDelta(delta)
 	if err != nil {
 		t.Fatal(err)
@@ -138,17 +156,54 @@ func TestHTTPPatchEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(pj.Result(), want) {
-		t.Error("patched job result differs from a cold run on the edited graph")
-	}
+	return want
+}
 
-	// The base job's stored graph was not mutated by the patch.
-	again, err := codec.EncodeGraph(base)
+// TestPatchDefaultEngine: a Manager configured without an Engine still
+// runs every job through a (memory-only) stage engine, so a single-FU
+// PATCH replays the unchanged stages — stage hits > 0 — and serves a
+// document byte-identical to a cold run on the edited graph.
+func TestPatchDefaultEngine(t *testing.T) {
+	m := New(Config{Concurrency: 1})
+	defer m.Close()
+	if m.cfg.Engine == nil {
+		t.Fatal("zero-Engine Config left the Manager without a stage engine")
+	}
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+
+	base := diffeq.Build(diffeq.DefaultParams())
+	doc, err := codec.EncodeGraph(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(again, doc) {
-		t.Error("PATCH mutated the base job's graph")
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st JobStatus
+	decodeBody(t, resp, http.StatusAccepted, &st)
+	baseJob, err := m.Get(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, baseJob, StateDone)
+	before := m.cfg.Engine.Stats()
+
+	_, delta := swapTarget(t, base)
+	var patched JobStatus
+	decodeBody(t, patchJob(t, srv.URL, st.ID, delta), http.StatusAccepted, &patched)
+	pj, err := m.Get(patched.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, pj, StateDone)
+
+	if hits := m.cfg.Engine.Stats().Hits() - before.Hits(); hits <= 0 {
+		t.Errorf("patched run made %d stage hits, want > 0", hits)
+	}
+	if !bytes.Equal(pj.Result(), coldPatchedRun(t, base, delta)) {
+		t.Error("patched job result differs from a cold run on the edited graph")
 	}
 }
 

@@ -159,17 +159,13 @@ type Config struct {
 	// Minimizer, when non-nil, is the shared hazard-free minimization
 	// cache every job routes through (typically a memo.Cache).
 	Minimizer synth.Minimizer
-	// Engine, when non-nil, routes ModeSynth pipelines (and the final
-	// realization of ModeSearch winners) through the incremental stage
-	// engine: unchanged stages replay from its store instead of
-	// recomputing, which is what makes PATCH /v1/jobs/{id} re-runs cheap.
-	// Results are bit-identical to the direct core path either way.
+	// Engine is the incremental stage engine every ModeSynth pipeline
+	// (and the final realization of ModeSearch winners) runs through:
+	// unchanged stages replay from its store instead of recomputing, which
+	// is what makes PATCH /v1/jobs/{id} re-runs cheap. Nil selects a
+	// memory-only engine (stage.New(nil)). Results are bit-identical to a
+	// direct core run either way.
 	Engine *stage.Engine
-	// Solver selects the covering backend for exact minimizations when no
-	// Minimizer is configured (a memo cache fixes its backend at
-	// construction; see memo.NewSolver). Zero value is the
-	// branch-and-bound reference.
-	Solver logic.Solver
 	// SearchWaves, SearchBeam and SearchBudget size the rewrite search
 	// behind ModeSearch jobs. Zero values select a bounded service profile
 	// (1 wave, beam 2, 16 evaluations) — deliberately tighter than the CLI
@@ -212,6 +208,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SearchBudget <= 0 {
 		c.SearchBudget = 16
+	}
+	if c.Engine == nil {
+		c.Engine = stage.New(nil)
 	}
 	return c
 }
@@ -656,30 +655,16 @@ func (m *Manager) synthesize(ctx context.Context, job *Job) ([]byte, error) {
 		Transform:   transform.DefaultOptions(),
 		Parallelism: m.perJobWorkers(),
 		Minimizer:   m.cfg.Minimizer,
-		Solver:      m.cfg.Solver,
 	}
 	return m.realize(ctx, job.graph, opts)
 }
 
-// realize executes one pipeline configuration and encodes the synthesis
-// document. With Config.Engine it runs through the incremental stage
-// cache; otherwise it runs the direct core path on a clone (core.RunCtx
-// transforms its input in place, and the job's graph must stay pristine —
-// it is the base PATCH /v1/jobs/{id} applies deltas to). Both paths
-// produce byte-identical documents.
+// realize executes one pipeline configuration through the stage engine
+// and encodes the synthesis document. The engine never mutates g, which
+// must stay pristine: it is the base PATCH /v1/jobs/{id} applies deltas
+// to.
 func (m *Manager) realize(ctx context.Context, g *cdfg.Graph, opts core.Options) ([]byte, error) {
-	if m.cfg.Engine != nil {
-		s, results, err := m.cfg.Engine.Run(ctx, g, opts)
-		if err != nil {
-			return nil, err
-		}
-		return codec.EncodeSynthesis(s, results)
-	}
-	s, err := core.RunCtx(ctx, g.Clone(), opts)
-	if err != nil {
-		return nil, err
-	}
-	results, err := s.SynthesizeLogicCtx(ctx)
+	s, results, err := m.cfg.Engine.Run(ctx, g, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -701,11 +686,10 @@ func (m *Manager) searchJob(ctx context.Context, job *Job) ([]byte, error) {
 		Budget:     m.cfg.SearchBudget,
 		Synthesize: true,
 		Minimizer:  m.cfg.Minimizer,
-		Solver:     m.cfg.Solver,
 	})
 	if err != nil {
 		return nil, err
 	}
-	copt := res.Best.Plan.CoreOptions(perJob, m.cfg.Minimizer, m.cfg.Solver)
+	copt := res.Best.Plan.CoreOptions(perJob, m.cfg.Minimizer, logic.SolverBB)
 	return m.realize(ctx, job.graph, copt)
 }

@@ -192,9 +192,9 @@ func hashTransformOptions(h hash.Hash, topt transform.Options) {
 }
 
 // effectiveSolver resolves the covering backend the synth stage will
-// actually minimize with: a memo cache carries its own backend (fixed at
-// construction, part of its keys), overriding Options.Solver; without a
-// backend-carrying minimizer the option stands.
+// actually minimize with: a minimizer that reports its backend (a memo
+// cache always minimizes with logic.SolverBB) overrides Options.Solver;
+// otherwise the option stands.
 func effectiveSolver(opt core.Options) logic.Solver {
 	if opt.Minimizer != nil {
 		if cs, ok := opt.Minimizer.(interface{ Solver() logic.Solver }); ok {

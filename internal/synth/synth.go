@@ -118,10 +118,10 @@ func RungName(i int) string {
 // sequential path.
 //
 // Every exact minimization is routed through min (nil = call hfmin
-// directly with the given covering backend; a supplied Minimizer carries
-// its own backend, as internal/memo's cache does). Cache hits are
-// bit-identical to fresh computations and exact backends agree whenever
-// their search completes, so min and solver change wall time, not logic.
+// directly with the given covering backend, logic.SolverBB or
+// logic.SolverGreedy; a supplied Minimizer such as internal/memo's cache
+// minimizes with SolverBB). Cache hits are bit-identical to fresh
+// computations, so min changes wall time, not logic.
 //
 // The context is checked between the rungs of the encoding-attempt
 // ladder, before each per-output minimization is dispatched

@@ -33,6 +33,7 @@ import (
 var strictDirs = []string{
 	"internal/frontend",
 	"internal/gen",
+	"internal/logic",
 	"internal/memo",
 	"internal/search",
 	"internal/stage",

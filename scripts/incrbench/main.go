@@ -9,7 +9,7 @@
 //     with at most one controller recomputed.
 //
 // It prints a one-line JSON record with the cold and warm wall times and
-// the stage counters; verify.sh appends it to BENCH_incremental.json.
+// the stage counters.
 //
 // Usage:
 //

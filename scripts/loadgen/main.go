@@ -11,8 +11,8 @@
 //
 // The exit status is the verdict: 0 when every job was accounted for and
 // every served document matched its direct single-process run, 1
-// otherwise. scripts/verify.sh runs a small configuration of this and
-// appends the latency percentiles to BENCH_service.json.
+// otherwise. scripts/verify.sh runs a small configuration of this as a
+// pass/fail step.
 package main
 
 import (
